@@ -150,9 +150,11 @@ class ServeApp:
         self.memo = MemoStore(self.store_dir / MEMO_DIR)
         self.flight = SingleFlight()
         # Always-on in-memory telemetry: the service renders it live on
-        # /metrics and /v1/stats; nothing is flushed to disk, and the
-        # span ring bounds memory over a long-lived process.
-        self.telemetry = Telemetry(max_spans=512)
+        # /metrics and /v1/stats; nothing is flushed to disk.  No
+        # endpoint reads span records, only their count (spans_recorded),
+        # so none are kept: pool workers fork from this process and
+        # would carry them too.
+        self.telemetry = Telemetry(max_spans=0)
         self.breaker = CircuitBreaker(
             threshold=self.policy.breaker_threshold,
             cooldown_s=self.policy.breaker_cooldown_s,

@@ -1,21 +1,29 @@
 """Organisation search: the fastest layout for each cache geometry.
 
 The paper always organised each memory "to give the highest
-performance": the model iterates over all feasible array organisations
-and keeps the one with the minimum cycle time (ties broken by access
-time, then by fewest subarrays, which is also the cheapest in area).
-Results are memoised — the design-space sweeps ask for the same handful
-of geometries thousands of times.
+performance": the search keeps the feasible organisation with the
+minimum cycle time (ties broken by access time, then by fewest
+subarrays, which is also the cheapest in area).
+
+The data side depends only on the data split and the tag side only on
+the tag split, so each feasible split is scored once and the pairs are
+combined on a numpy grid by :func:`~repro.timing.model.combine_sides`.
+IEEE ``+`` and ``max`` round as Python floats do, so every cell equals
+the scalar model's value and a stable lexsort picks the organisation a
+first-minimum scan of :func:`~repro.timing.organization.enumerate_organizations`
+would.  Results are memoised — the design-space sweeps ask for the same
+handful of geometries thousands of times.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+
+import numpy as np
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from .model import TimingResult, access_and_cycle_time
-from .organization import enumerate_organizations
+from .model import TimingResult, access_and_cycle_time, combine_sides, data_side, tag_side
+from .organization import ArrayOrganization, data_candidates, tag_candidates
 from .technology import TECH_05UM, Technology
 
 __all__ = ["optimal_timing"]
@@ -28,20 +36,20 @@ def _optimal_timing_cached(
     geometry = CacheGeometry(
         size_bytes, line_size=line_size, associativity=associativity
     )
-    best: Optional[TimingResult] = None
-    best_key = None
-    for organization in enumerate_organizations(geometry):
-        result = access_and_cycle_time(geometry, organization, tech)
-        key = (
-            result.cycle_ns,
-            result.access_ns,
-            organization.data_subarrays + organization.tag_subarrays,
-        )
-        if best_key is None or key < best_key:
-            best = result
-            best_key = key
-    assert best is not None  # enumerate_organizations raises if empty
-    return best
+    data, tags = data_candidates(geometry), tag_candidates(geometry)
+    data_ns, data_pre = np.array([data_side(geometry, tech, *t) for t in data]).T
+    tag_ns, tag_pre = np.array([tag_side(geometry, tech, *t) for t in tags]).T
+    # Rows are data layouts, columns tag layouts: enumeration order.
+    access, cycle = combine_sides(
+        geometry, tech, (data_ns[:, None], data_pre[:, None]), (tag_ns, tag_pre),
+        np.maximum,
+    )
+    subarrays = np.add.outer([w * b for w, b, _ in data], [w * b for w, b, _ in tags])
+    # lexsort is stable and its last key is the primary one.
+    order = np.lexsort((subarrays.ravel(), access.ravel(), cycle.ravel()))
+    best_data, best_tag = divmod(int(order[0]), len(tags))
+    organization = ArrayOrganization(*data[best_data], *tags[best_tag])
+    return access_and_cycle_time(geometry, organization, tech)
 
 
 def optimal_timing(

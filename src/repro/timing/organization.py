@@ -12,15 +12,16 @@ with ``B``-byte lines and associativity ``A`` can be laid out many ways:
 
 Rows per subarray = ``C / (B·A·ndbl·nspd)``; columns per subarray =
 ``8·B·A·nspd / ndwl``.  The tag array has its own independent triple.
-The model evaluates every feasible organisation and keeps the fastest —
-exactly how the paper always "organised the memories to give the
-highest performance".
+The search (:mod:`repro.timing.optimal`) keeps the fastest feasible
+organisation — exactly how the paper always "organised the memories to
+give the highest performance".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from itertools import product
+from typing import Callable, Iterator, List, Tuple
 
 from ..errors import ModelError
 from ..units import is_pow2
@@ -31,11 +32,13 @@ __all__ = [
     "data_array_shape",
     "tag_array_shape",
     "tag_bits_per_entry",
+    "data_candidates",
+    "tag_candidates",
     "enumerate_organizations",
 ]
 
-#: Largest split factor explored in any dimension.
-_MAX_SPLIT = 16
+#: Split factors explored in every dimension (powers of two up to 16).
+_SPLITS = (1, 2, 4, 8, 16)
 
 #: Physical address width assumed for tag sizing (the paper's machines
 #: were 32-bit with physically-addressed caches).
@@ -43,6 +46,9 @@ ADDRESS_BITS = 32
 
 #: Status bits per tag entry: valid + dirty.
 STATUS_BITS = 2
+
+#: One array's split factors: ``(ndwl, ndbl, nspd)`` or ``(ntwl, ntbl, ntspd)``.
+Triple = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -116,44 +122,41 @@ def tag_array_shape(
     return rows, cols
 
 
-def _splits() -> List[int]:
-    values = []
-    split = 1
-    while split <= _MAX_SPLIT:
-        values.append(split)
-        split *= 2
-    return values
+def _feasible(shape: Callable[..., Tuple[int, int]], geometry: CacheGeometry) -> List[Triple]:
+    """Split triples giving at least two rows and eight columns per subarray.
+
+    A subarray thinner than that has no sensible physical layout and
+    would distort the periphery model.
+    """
+    triples = []
+    for triple in product(_SPLITS, repeat=3):
+        try:
+            rows, cols = shape(geometry, *triple)
+        except ModelError:
+            continue
+        if rows >= 2 and cols >= 8:
+            triples.append(triple)
+    if not triples:
+        raise ModelError(f"no feasible organisation for {geometry}")
+    return triples
+
+
+def data_candidates(geometry: CacheGeometry) -> List[Triple]:
+    """Every feasible data-array ``(ndwl, ndbl, nspd)``, in search order."""
+    return _feasible(data_array_shape, geometry)
+
+
+def tag_candidates(geometry: CacheGeometry) -> List[Triple]:
+    """Every feasible tag-array ``(ntwl, ntbl, ntspd)``, in search order."""
+    return _feasible(tag_array_shape, geometry)
 
 
 def enumerate_organizations(geometry: CacheGeometry) -> Iterator[ArrayOrganization]:
-    """Yield every feasible organisation for ``geometry``.
+    """Yield every feasible organisation for ``geometry``, data-major.
 
-    Feasibility requires integral subarray shapes and at least two rows
-    and eight columns per subarray (a subarray thinner than that has no
-    sensible physical layout and would distort the periphery model).
+    The data and tag arrays are laid out independently, so this is the
+    product of :func:`data_candidates` and :func:`tag_candidates`.
     """
-    data_candidates = []
-    for ndwl in _splits():
-        for ndbl in _splits():
-            for nspd in _splits():
-                try:
-                    rows, cols = data_array_shape(geometry, ndwl, ndbl, nspd)
-                except ModelError:
-                    continue
-                if rows >= 2 and cols >= 8:
-                    data_candidates.append((ndwl, ndbl, nspd))
-    tag_candidates = []
-    for ntwl in _splits():
-        for ntbl in _splits():
-            for ntspd in _splits():
-                try:
-                    rows, cols = tag_array_shape(geometry, ntwl, ntbl, ntspd)
-                except ModelError:
-                    continue
-                if rows >= 2 and cols >= 8:
-                    tag_candidates.append((ntwl, ntbl, ntspd))
-    if not data_candidates or not tag_candidates:
-        raise ModelError(f"no feasible organisation for {geometry}")
-    for ndwl, ndbl, nspd in data_candidates:
-        for ntwl, ntbl, ntspd in tag_candidates:
-            yield ArrayOrganization(ndwl, ndbl, nspd, ntwl, ntbl, ntspd)
+    data, tags = data_candidates(geometry), tag_candidates(geometry)
+    for data_triple, tag_triple in product(data, tags):
+        yield ArrayOrganization(*data_triple, *tag_triple)
