@@ -2,8 +2,8 @@
 
 The paper restricts first-level caches to direct-mapped, which makes the
 L1 pass vectorisable (:mod:`repro.cache.directmap`); only the L1 miss
-stream — a few percent of references — reaches the Python-level L2
-simulator (:mod:`repro.cache.l2`).  :mod:`repro.cache.hierarchy` wires
+stream — a few percent of references — reaches the Python-level replay
+kernel (:mod:`repro.cache.misspath`).  :mod:`repro.cache.hierarchy` wires
 the two together under the paper's two replacement disciplines:
 
 * ``Policy.CONVENTIONAL`` — the baseline (non-exclusive) two-level
@@ -12,8 +12,9 @@ the two together under the paper's two replacement disciplines:
   the line up to L1 and out of L2, and every L1 victim is written into
   the L2, so capacity is the *sum* of the levels.
 
-:mod:`repro.cache.reference` holds deliberately slow, obviously-correct
-simulators used by the test suite to validate the fast path.
+:mod:`repro.cache.reference` and :mod:`repro.cache.l2` hold deliberately
+slow, obviously-correct simulators used by the test suite to validate
+the fast path.
 """
 
 from .directmap import DirectMappedFilter, direct_mapped_filter

@@ -18,6 +18,7 @@ property-based tests (see ``tests/test_directmap.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +42,14 @@ class DirectMappedFilter:
         Per reference, the line address evicted by the fill (only
         meaningful where ``miss_mask`` is True); ``NO_VICTIM`` for hits
         and for cold fills into an empty set.
+    dirty:
+        With store flags given, per reference: True where the miss
+        evicts a dirty line (else ``None``).
     """
 
     miss_mask: np.ndarray
     victims: np.ndarray
+    dirty: Optional[np.ndarray] = None
 
     @property
     def n_refs(self) -> int:
@@ -61,7 +66,9 @@ class DirectMappedFilter:
         return self.n_misses / self.n_refs
 
 
-def direct_mapped_filter(lines: np.ndarray, n_sets: int) -> DirectMappedFilter:
+def direct_mapped_filter(
+    lines: np.ndarray, n_sets: int, is_store: Optional[np.ndarray] = None
+) -> DirectMappedFilter:
     """Simulate a direct-mapped cache over a stream of line addresses.
 
     Parameters
@@ -71,20 +78,28 @@ def direct_mapped_filter(lines: np.ndarray, n_sets: int) -> DirectMappedFilter:
         in program order.
     n_sets:
         Number of cache sets (= number of lines for a DM cache).
+    is_store:
+        Optional store flag per reference; when given, the result also
+        flags the misses that evict a dirty line.
 
     Returns
     -------
     DirectMappedFilter
-        Miss mask and victim lines, both aligned with ``lines``.
+        Miss mask and victim lines (and dirty flags), aligned with ``lines``.
     """
     if n_sets < 1:
         raise GeometryError("n_sets must be >= 1")
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     n = len(lines)
+    if is_store is not None:
+        is_store = np.ascontiguousarray(is_store, dtype=bool)
+        if len(is_store) != n:
+            raise TraceError("lines and is_store must align")
     miss = np.empty(n, dtype=bool)
     victims = np.full(n, NO_VICTIM, dtype=np.int64)
+    dirty = None if is_store is None else np.zeros(n, dtype=bool)
     if n == 0:
-        return DirectMappedFilter(miss, victims)
+        return DirectMappedFilter(miss, victims, dirty)
 
     sets = lines % n_sets
     order = np.argsort(sets, kind="stable")
@@ -94,20 +109,28 @@ def direct_mapped_filter(lines: np.ndarray, n_sets: int) -> DirectMappedFilter:
     miss_sorted = np.empty(n, dtype=bool)
     victims_sorted = np.full(n, NO_VICTIM, dtype=np.int64)
     miss_sorted[0] = True
-    if n > 1:
-        same_set = sorted_sets[1:] == sorted_sets[:-1]
-        changed_line = sorted_lines[1:] != sorted_lines[:-1]
-        # A reference misses if it starts a new set group (cold miss) or
-        # the previous reference in its set used a different line.
-        miss_sorted[1:] = ~same_set | changed_line
-        # The victim is the previous line in the same set, when there is
-        # one and it differs (i.e. a genuine replacement, not a cold fill).
-        evicting = same_set & changed_line
-        victims_sorted[1:][evicting] = sorted_lines[:-1][evicting]
+    same_set = sorted_sets[1:] == sorted_sets[:-1]
+    changed_line = sorted_lines[1:] != sorted_lines[:-1]
+    # A reference misses if it starts a new set group (cold miss) or
+    # the previous reference in its set used a different line.
+    miss_sorted[1:] = ~same_set | changed_line
+    # The victim is the previous line in the same set, when there is
+    # one and it differs (i.e. a genuine replacement, not a cold fill).
+    evicting = same_set & changed_line
+    victims_sorted[1:][evicting] = sorted_lines[:-1][evicting]
 
     miss[order] = miss_sorted
     victims[order] = victims_sorted
-    return DirectMappedFilter(miss, victims)
+    if dirty is not None:
+        # Each residency is a maximal run of equal lines within a set,
+        # delimited by the misses; the victim of an eviction is the run
+        # before it, dirty iff any of its references stored.
+        starts = np.nonzero(miss_sorted)[0]
+        run_dirty = np.logical_or.reduceat(is_store[order], starts)
+        dirty_sorted = np.zeros(n, dtype=bool)
+        dirty_sorted[starts[1:]] = run_dirty[:-1] & evicting[starts[1:] - 1]
+        dirty[order] = dirty_sorted
+    return DirectMappedFilter(miss, victims, dirty)
 
 
 def dirty_victim_mask(
@@ -116,54 +139,9 @@ def dirty_victim_mask(
     """Per-reference flag: does this miss evict a *dirty* victim?
 
     A direct-mapped victim is dirty iff the evicted line received at
-    least one store during its residency.  In the set-sorted view, each
-    residency is a maximal run of equal line addresses within a set
-    (runs are delimited exactly by the misses), so the dirty flag of
-    the victim at a replacement is the OR of ``is_store`` over the
-    immediately preceding run — computable in one vectorised pass.
+    least one store during its residency (see :func:`direct_mapped_filter`).
 
     Returns a boolean array aligned with ``lines``; True only at
     positions that are misses evicting a dirty line.
     """
-    if n_sets < 1:
-        raise GeometryError("n_sets must be >= 1")
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    is_store = np.ascontiguousarray(is_store, dtype=bool)
-    if len(lines) != len(is_store):
-        raise TraceError("lines and is_store must align")
-    n = len(lines)
-    result = np.zeros(n, dtype=bool)
-    if n == 0:
-        return result
-
-    sets = lines % n_sets
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
-    sorted_stores = is_store[order]
-
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    if n > 1:
-        same_set = sorted_sets[1:] == sorted_sets[:-1]
-        changed_line = sorted_lines[1:] != sorted_lines[:-1]
-        miss_sorted[1:] = ~same_set | changed_line
-        evicting = same_set & changed_line
-    else:
-        evicting = np.zeros(0, dtype=bool)
-
-    # Residency runs are numbered by cumulative miss count; the victim
-    # of an eviction is the previous run (same set by construction).
-    run_id = np.cumsum(miss_sorted) - 1
-    n_runs = int(run_id[-1]) + 1
-    run_dirty = np.zeros(n_runs, dtype=bool)
-    np.logical_or.at(run_dirty, run_id, sorted_stores)
-
-    dirty_sorted = np.zeros(n, dtype=bool)
-    if n > 1:
-        eviction_positions = np.nonzero(evicting)[0] + 1
-        dirty_sorted[eviction_positions] = run_dirty[
-            run_id[eviction_positions] - 1
-        ]
-    result[order] = dirty_sorted
-    return result
+    return direct_mapped_filter(lines, n_sets, is_store).dirty

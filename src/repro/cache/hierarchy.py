@@ -41,10 +41,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..traces.address import Trace
-from .directmap import NO_VICTIM, direct_mapped_filter
+from .directmap import direct_mapped_filter
 from .geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from .l2 import SetAssociativeCache
-from .replacement import LfsrReplacement, LruReplacement
+from .misspath import replay_l2
 from .results import HierarchyStats
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "MissStream",
     "l1_miss_stream",
     "simulate_hierarchy",
+    "warmup_window",
     "DEFAULT_WARMUP_FRACTION",
 ]
 
@@ -101,6 +101,14 @@ class MissStream:
         return len(self.lines)
 
 
+def warmup_window(trace: Trace, warmup_fraction: float) -> "tuple[int, int]":
+    """``(warmup_time, counted data references)`` of ``trace``'s counted window."""
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError("warmup_fraction must be in [0, 1)")
+    warmup_time = int(trace.n_instructions * warmup_fraction)
+    return warmup_time, trace.n_data_refs - int(np.searchsorted(trace.d_times, warmup_time))
+
+
 @lru_cache(maxsize=256)
 def l1_miss_stream(
     trace: Trace, l1_bytes: int, line_size: int = DEFAULT_LINE_SIZE
@@ -144,14 +152,6 @@ def l1_miss_stream(
     )
 
 
-def _make_replacement(name: str, geometry: CacheGeometry):
-    if name == "lfsr":
-        return LfsrReplacement(geometry.associativity)
-    if name == "lru":
-        return LruReplacement(geometry.associativity, geometry.n_sets)
-    raise ConfigurationError(f"unknown replacement policy {name!r}")
-
-
 def _simulate_l2(
     stream: MissStream,
     geometry: CacheGeometry,
@@ -164,36 +164,15 @@ def _simulate_l2(
     The full stream updates the cache state; only events issued at or
     after ``warmup_time`` are counted.
     """
-    counted = stream.times >= warmup_time
     if policy is Policy.CONVENTIONAL and geometry.is_direct_mapped:
         # Fast path: a conventional DM L2 is itself a pure filter
         # (replacement is irrelevant with one way per set).
+        counted = stream.times >= warmup_time
         result = direct_mapped_filter(stream.lines, geometry.n_sets)
         misses = int((result.miss_mask & counted).sum())
         return int(counted.sum()) - misses, misses
-
-    cache = SetAssociativeCache(geometry, _make_replacement(replacement, geometry))
-    hits = 0
-    n_counted = int(counted.sum())
-    lines = stream.lines.tolist()
-    counted_list = counted.tolist()
-    if policy is Policy.CONVENTIONAL:
-        for line, count_it in zip(lines, counted_list):
-            if cache.lookup(line):
-                hits += count_it
-            else:
-                cache.fill(line)
-    else:
-        victims = stream.victims.tolist()
-        for line, victim, count_it in zip(lines, victims, counted_list):
-            if cache.lookup(line):
-                hits += count_it
-                cache.invalidate(line)
-            # On an L2 miss the line is fetched off-chip directly into
-            # the L1; the L2 is not filled with it (exclusion).
-            if victim != NO_VICTIM:
-                cache.fill(victim)
-    return hits, n_counted - hits
+    replay = replay_l2(stream, geometry, policy, warmup_time, replacement)
+    return replay.hits, replay.misses
 
 
 def simulate_hierarchy(
@@ -236,35 +215,22 @@ def simulate_hierarchy(
         Miss counts for the counted (post-warmup) window, feeding the
         TPI model.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
-    warmup_time = int(trace.n_instructions * warmup_fraction)
+    warmup_time, n_data_refs = warmup_window(trace, warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
 
     counted = stream.times >= warmup_time
     l1i_misses = int((counted & stream.is_instruction).sum())
     l1d_misses = int((counted & ~stream.is_instruction).sum())
     n_instructions = trace.n_instructions - warmup_time
-    n_data_refs = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
 
-    if l2_bytes == 0:
-        return HierarchyStats(
-            n_instructions=n_instructions,
-            n_data_refs=n_data_refs,
-            l1i_misses=l1i_misses,
-            l1d_misses=l1d_misses,
-            l2_hits=0,
-            l2_misses=0,
-            has_l2=False,
-        )
     if l2_bytes < 0:
         raise ConfigurationError("l2_bytes must be >= 0")
-    geometry = CacheGeometry(
-        l2_bytes, line_size=line_size, associativity=l2_associativity
-    )
-    hits, misses = _simulate_l2(stream, geometry, policy, warmup_time, l2_replacement)
+    hits = misses = 0
+    if l2_bytes:
+        geometry = CacheGeometry(
+            l2_bytes, line_size=line_size, associativity=l2_associativity
+        )
+        hits, misses = _simulate_l2(stream, geometry, policy, warmup_time, l2_replacement)
     return HierarchyStats(
         n_instructions=n_instructions,
         n_data_refs=n_data_refs,
@@ -272,5 +238,5 @@ def simulate_hierarchy(
         l1d_misses=l1d_misses,
         l2_hits=hits,
         l2_misses=misses,
-        has_l2=True,
+        has_l2=l2_bytes > 0,
     )

@@ -1,8 +1,11 @@
-"""Stateful set-associative cache used for the second level.
+"""Stateful set-associative cache: the oracle of the replay kernel.
 
-Only the L1 miss stream reaches this simulator (typically a few percent
-of all references), so a straightforward per-reference Python loop with
-a numpy tag store is fast enough for full design-space sweeps.
+The L2 studies replay the L1 miss stream with
+:mod:`repro.cache.misspath`, which keeps plain lists per set and makes
+no method call per event.  This method-call simulator (a numpy tag store
+and a :class:`~repro.cache.replacement.ReplacementPolicy`) is what the
+kernel is tested against, and it serves the whole-trace models that
+cannot use a miss stream (strict inclusion, the reference hierarchy).
 
 The tag store uses ``INVALID`` (-1) as the empty marker, which is safe
 because line addresses are non-negative by construction

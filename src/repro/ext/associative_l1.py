@@ -6,9 +6,9 @@ The argument is exactly the one this library can quantify: higher
 associativity lowers the miss rate but raises the access/cycle time,
 and since the L1 cycle *is* the machine cycle, every instruction pays.
 
-Associative L1s break the vectorised decomposition (replacement state
-matters), so this module carries its own straightforward whole-trace
-simulator.  Use modest trace scales.
+Associative L1s break the vectorised direct-mapped filter (replacement
+state matters), so each split cache replays its whole reference stream
+through the miss-path kernel (:mod:`repro.cache.misspath`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION
-from ..cache.l2 import SetAssociativeCache
-from ..cache.replacement import LruReplacement
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, warmup_window
+from ..cache.misspath import replay_lines
 from ..errors import ConfigurationError
 from ..timing.optimal import optimal_timing
 from ..traces.address import Trace
@@ -68,39 +67,20 @@ def evaluate_associative_l1(
     """
     if associativity < 1:
         raise ConfigurationError("associativity must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
+    # The split caches are independent conventional LRU caches, so each
+    # replays its own reference stream through the miss-path kernel.
     geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=associativity)
-
-    def make_cache() -> SetAssociativeCache:
-        return SetAssociativeCache(
-            geometry, LruReplacement(associativity, geometry.n_sets)
+    warmup_time, counted_data = warmup_window(trace, warmup_fraction)
+    d_counted_from = trace.n_data_refs - counted_data
+    misses = sum(
+        replay_lines(lines.tolist(), None, counted_from, geometry, False, "lru").misses
+        for lines, counted_from in (
+            (trace.i_lines(line_size), warmup_time),
+            (trace.d_lines(line_size), d_counted_from),
         )
-
-    icache, dcache = make_cache(), make_cache()
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    misses = 0
-    counted_data = 0
-
-    i_lines = trace.i_lines(line_size).tolist()
-    d_lines = trace.d_lines(line_size).tolist()
-    d_times = trace.d_times.tolist()
-    d_cursor = 0
-    n_data = len(d_lines)
-    for cycle, line in enumerate(i_lines):
-        counted = cycle >= warmup_time
-        if not icache.lookup(line):
-            icache.fill(line)
-            misses += counted
-        while d_cursor < n_data and d_times[d_cursor] == cycle:
-            d_line = d_lines[d_cursor]
-            if not dcache.lookup(d_line):
-                dcache.fill(d_line)
-                misses += counted
-            counted_data += counted
-            d_cursor += 1
+    )
 
     timing = optimal_timing(l1_bytes, associativity, line_size)
     cycle_ns = timing.cycle_ns

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Union
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, warmup_window
 from ..cache.l2 import SetAssociativeCache
 from ..cache.results import HierarchyStats
 from ..errors import ConfigurationError
@@ -68,8 +68,6 @@ def simulate_strict_inclusion(
     """
     if not l2_bytes:
         raise ConfigurationError("strict inclusion requires a second level")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
     l1_geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=1)
@@ -79,9 +77,8 @@ def simulate_strict_inclusion(
         CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
     )
 
-    warmup_time = int(trace.n_instructions * warmup_fraction)
+    warmup_time, counted_data = warmup_window(trace, warmup_fraction)
     l1i = l1d = l2_hits = l2_misses = 0
-    counted_data = 0
 
     i_lines = trace.i_lines(line_size).tolist()
     d_lines = trace.d_lines(line_size).tolist()
@@ -114,7 +111,6 @@ def simulate_strict_inclusion(
         reference(i_line, True, counted)
         while d_cursor < n_data and d_times[d_cursor] == cycle:
             reference(d_lines[d_cursor], False, counted)
-            counted_data += counted
             d_cursor += 1
 
     return HierarchyStats(

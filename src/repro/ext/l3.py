@@ -19,14 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..cache.directmap import NO_VICTIM
-from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import (
-    DEFAULT_WARMUP_FRACTION,
-    Policy,
-    l1_miss_stream,
-)
-from ..cache.l2 import SetAssociativeCache
+import numpy as np
+
+from ..cache.geometry import CacheGeometry
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
+from ..cache.misspath import replay_l2, replay_lines
 from ..core.config import SystemConfig
 from ..core.tpi import system_timings
 from ..errors import ConfigurationError
@@ -91,57 +88,20 @@ def evaluate_with_board_cache(
         raise ConfigurationError("DRAM cannot be faster than the board cache")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
-    # Replay the hierarchy, collecting the off-chip fetch stream.
+    warmup_time = warmup_window(trace, warmup_fraction)[0]
     stream = l1_miss_stream(trace, config.l1_bytes, config.line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    l3 = SetAssociativeCache(
-        CacheGeometry(
-            l3_bytes, line_size=config.line_size, associativity=l3_associativity
-        )
-    )
-
-    l1_misses = 0
+    # The L3 sees the off-chip fetches: every L1 miss, or the L2's misses
+    # in order.  Either way the counted fetches are a suffix.
+    fetched = stream.lines.tolist()
+    counted_from = int(np.searchsorted(stream.times, warmup_time))
     l2_hits = 0
-    l3_hits = 0
-    l3_misses = 0
-
-    def offchip_fetch(line: int, counted: int) -> None:
-        nonlocal l3_hits, l3_misses
-        if l3.lookup(line):
-            l3_hits += counted
-        else:
-            l3_misses += counted
-            l3.fill(line)
-
-    lines = stream.lines.tolist()
-    victims = stream.victims.tolist()
-    counted_mask = (stream.times >= warmup_time).tolist()
-
     if config.has_l2:
-        l2 = SetAssociativeCache(
-            CacheGeometry(
-                config.l2_bytes,
-                line_size=config.line_size,
-                associativity=config.l2_associativity,
-            )
-        )
-        exclusive = config.policy is Policy.EXCLUSIVE
-        for line, victim, counted in zip(lines, victims, counted_mask):
-            l1_misses += counted
-            if l2.lookup(line):
-                l2_hits += counted
-                if exclusive:
-                    l2.invalidate(line)
-            else:
-                offchip_fetch(line, counted)
-                if not exclusive:
-                    l2.fill(line)
-            if exclusive and victim != NO_VICTIM:
-                l2.fill(victim)
-    else:
-        for line, counted in zip(lines, counted_mask):
-            l1_misses += counted
-            offchip_fetch(line, counted)
+        l2_geometry = CacheGeometry(config.l2_bytes, config.line_size, config.l2_associativity)
+        l2 = replay_l2(stream, l2_geometry, config.policy, warmup_time)
+        fetched, counted_from, l2_hits = l2.fetched, len(l2.fetched) - l2.misses, l2.hits
+    l3_geometry = CacheGeometry(l3_bytes, config.line_size, l3_associativity)
+    l3 = replay_lines(fetched, None, counted_from, l3_geometry, exclusive=False)
+    l3_hits, l3_misses = l3.hits, l3.misses
 
     timings = system_timings(config)
     hit_ns = round_up_to_multiple(board_hit_ns, timings.l1_cycle_ns)
@@ -149,26 +109,15 @@ def evaluate_with_board_cache(
     n_instructions = trace.n_instructions - warmup_time
 
     base = n_instructions * timings.l1_cycle_ns / config.issue_width
-    transfers = timings.transfers_per_line
+    # Every fetch pays the board (or DRAM) on top of its on-chip probe.
+    probe = timings.l1_cycle_ns
     if config.has_l2:
+        transfers = timings.transfers_per_line
         hit_penalty = transfers * timings.l2_cycle_ns + timings.l1_cycle_ns
         probe = (transfers + 1) * timings.l2_cycle_ns + timings.l1_cycle_ns
-        total = (
-            base
-            + l2_hits * hit_penalty
-            + l3_hits * (hit_ns + probe)
-            + l3_misses * (miss_ns + probe)
-        )
-        constant = base + l2_hits * hit_penalty + (l3_hits + l3_misses) * (
-            hit_ns + probe
-        )
-    else:
-        total = (
-            base
-            + l3_hits * (hit_ns + timings.l1_cycle_ns)
-            + l3_misses * (miss_ns + timings.l1_cycle_ns)
-        )
-        constant = base + (l3_hits + l3_misses) * (hit_ns + timings.l1_cycle_ns)
+        base = base + l2_hits * hit_penalty
+    total = base + l3_hits * (hit_ns + probe) + l3_misses * (miss_ns + probe)
+    constant = base + (l3_hits + l3_misses) * (hit_ns + probe)
 
     return BoardCacheResult(
         config=config,

@@ -19,9 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Union
 
-import numpy as np
-
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
@@ -106,11 +104,9 @@ def simulate_stream_buffer(
         raise ConfigurationError("n_buffers must be >= 1")
     if buffer_depth < 1:
         raise ConfigurationError("buffer_depth must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
+    warmup_time, n_data = warmup_window(trace, warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
 
     buffers = [_StreamBuffer(buffer_depth) for _ in range(n_buffers)]
     allocation_order: Deque[int] = deque(range(n_buffers))
@@ -144,9 +140,6 @@ def simulate_stream_buffer(
             buffers[victim_index].allocate(line)
             allocation_order.append(victim_index)
 
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
     return StreamBufferStats(
         n_instructions=trace.n_instructions - warmup_time,
         n_data_refs=n_data,

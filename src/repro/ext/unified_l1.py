@@ -21,8 +21,8 @@ import numpy as np
 
 from ..cache.directmap import direct_mapped_filter
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
-from ..errors import ConfigurationError
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
+from ..cache.misspath import replay_lines
 from ..traces.address import Trace
 from ..traces.store import get_trace
 
@@ -74,10 +74,8 @@ def compare_split_vs_unified(
     simulated stepwise) dynamic allocation pays off — the other half:
     put the mixed capacity in the set-associative L2.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
-    warmup_time = int(trace.n_instructions * warmup_fraction)
+    warmup_time, counted_data = warmup_window(trace, warmup_fraction)
 
     # Split: reuse the memoised per-cache streams.
     stream = l1_miss_stream(trace, per_cache_bytes, line_size)
@@ -103,21 +101,11 @@ def compare_split_vs_unified(
             (result.miss_mask & (merged_times >= warmup_time)).sum()
         )
     else:
-        from ..cache.l2 import SetAssociativeCache
-        from ..cache.replacement import LruReplacement
+        counted_from = int(np.searchsorted(merged_times, warmup_time))
+        unified_misses = replay_lines(
+            merged_lines.tolist(), None, counted_from, unified, False, "lru"
+        ).misses
 
-        cache = SetAssociativeCache(
-            unified, LruReplacement(unified.associativity, unified.n_sets)
-        )
-        unified_misses = 0
-        for line, time in zip(merged_lines.tolist(), merged_times.tolist()):
-            if not cache.lookup(line):
-                cache.fill(line)
-                unified_misses += time >= warmup_time
-
-    counted_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
     n_refs = (trace.n_instructions - warmup_time) + counted_data
     return SplitVsUnified(
         workload=trace.name,

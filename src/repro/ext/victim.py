@@ -18,10 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from ..cache.directmap import NO_VICTIM
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
@@ -102,11 +100,9 @@ def simulate_victim_cache(
     """
     if victim_lines < 1:
         raise ConfigurationError("victim_lines must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
+    warmup_time, n_data = warmup_window(trace, warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
 
     buffer = _FullyAssociativeLru(victim_lines)
     victim_hits = 0
@@ -124,9 +120,6 @@ def simulate_victim_cache(
         if victim != NO_VICTIM:
             buffer.insert(victim)
 
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
     return VictimCacheStats(
         n_instructions=trace.n_instructions - warmup_time,
         n_data_refs=n_data,

@@ -22,14 +22,14 @@ each event is charged its transfer time scaled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..cache.directmap import NO_VICTIM, dirty_victim_mask
+from ..cache.directmap import direct_mapped_filter
 from ..cache.geometry import CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy, l1_miss_stream
-from ..cache.l2 import SetAssociativeCache
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy, l1_miss_stream, warmup_window
+from ..cache.misspath import replay_l2
 from ..core.config import SystemConfig
 from ..core.evaluate import _cached_stats, system_area_rbe
 from ..core.tpi import system_timings
@@ -70,20 +70,16 @@ class WriteTraffic:
 
 def _l1_dirty_flags(trace: Trace, l1_bytes: int, line_size: int) -> np.ndarray:
     """Dirty flag per merged L1 miss event (instruction misses: False)."""
-    from ..cache.directmap import direct_mapped_filter
-
     stream = l1_miss_stream(trace, l1_bytes, line_size)
     geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=1)
-    d_lines = trace.d_lines(line_size)
-    d_dirty = dirty_victim_mask(d_lines, trace.d_is_store, geometry.n_sets)
-    d_miss_mask = direct_mapped_filter(d_lines, geometry.n_sets).miss_mask
-    # ``d_dirty`` is aligned with every data reference; the D-cache's
-    # misses are exactly the data events that entered the merged stream,
-    # in the same order.  Instruction victims are never dirty (code is
-    # read-only on these machines).
+    d_filter = direct_mapped_filter(
+        trace.d_lines(line_size), geometry.n_sets, trace.d_is_store
+    )
+    # The D-cache's misses are exactly the data events that entered the
+    # merged stream, in the same order.  Instruction victims are never
+    # dirty (code is read-only on these machines).
     dirty = np.zeros(len(stream), dtype=bool)
-    data_positions = np.nonzero(~stream.is_instruction)[0]
-    dirty[data_positions] = d_dirty[np.nonzero(d_miss_mask)[0]]
+    dirty[~stream.is_instruction] = d_filter.dirty[d_filter.miss_mask]
     return dirty
 
 
@@ -109,91 +105,25 @@ def count_write_traffic(
       dirty bit; a line promoted to the L1 by a swap carries its dirty
       state back up (it returns dirty even without further stores).
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
+    warmup_time, n_data = warmup_window(trace, warmup_fraction)
+    n_stores = int((trace.d_is_store & (trace.d_times >= warmup_time)).sum())
     stream = l1_miss_stream(trace, l1_bytes, line_size)
     dirty_flags = _l1_dirty_flags(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    counted_mask = stream.times >= warmup_time
-
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
-    d_counted = trace.d_times >= warmup_time
-    n_stores = int((trace.d_is_store & d_counted).sum())
-
-    l1_dirty_victims = 0
-    l1_writebacks_offchip = 0
-    l2_dirty_evictions = 0
 
     if l2_bytes == 0:
         # Single level: every dirty victim goes straight off-chip.
-        l1_dirty_victims = int((dirty_flags & counted_mask).sum())
-        return WriteTraffic(
-            l1_dirty_victims=l1_dirty_victims,
-            l1_writebacks_offchip=l1_dirty_victims,
-            l2_dirty_evictions=0,
-            n_data_refs=n_data,
-            n_stores=n_stores,
-        )
-
-    geometry = CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
-    cache = SetAssociativeCache(geometry)
-    l2_dirty: Set[int] = set()
-    carried_dirty: Set[int] = set()
-
-    lines = stream.lines.tolist()
-    victims = stream.victims.tolist()
-    counted_list = counted_mask.tolist()
-    dirty_list = dirty_flags.tolist()
-
-    def evict_to_offchip(evicted: "int | None", counted: int) -> None:
-        nonlocal l2_dirty_evictions
-        if evicted is not None and evicted in l2_dirty:
-            l2_dirty.discard(evicted)
-            l2_dirty_evictions += counted
-
-    if policy is Policy.CONVENTIONAL:
-        for line, victim, counted, dirty in zip(
-            lines, victims, counted_list, dirty_list
-        ):
-            if not cache.lookup(line):
-                evict_to_offchip(cache.fill(line), counted)
-            if victim != NO_VICTIM and dirty:
-                l1_dirty_victims += counted
-                if cache.contains(victim):
-                    l2_dirty.add(victim)
-                else:
-                    l1_writebacks_offchip += counted
+        dirty_victims = int((dirty_flags & (stream.times >= warmup_time)).sum())
+        counts = (dirty_victims, dirty_victims, 0)
     else:
-        for line, victim, counted, dirty in zip(
-            lines, victims, counted_list, dirty_list
-        ):
-            if cache.lookup(line):
-                cache.invalidate(line)
-                if line in l2_dirty:
-                    # The promoted line is dirty in the L1 from now on.
-                    l2_dirty.discard(line)
-                    carried_dirty.add(line)
-            if victim != NO_VICTIM:
-                victim_dirty = dirty or victim in carried_dirty
-                carried_dirty.discard(victim)
-                if victim_dirty:
-                    l1_dirty_victims += counted
-                evict_to_offchip(cache.fill(victim), counted)
-                if victim_dirty:
-                    l2_dirty.add(victim)
-                else:
-                    l2_dirty.discard(victim)
-
-    return WriteTraffic(
-        l1_dirty_victims=l1_dirty_victims,
-        l1_writebacks_offchip=l1_writebacks_offchip,
-        l2_dirty_evictions=l2_dirty_evictions,
-        n_data_refs=n_data,
-        n_stores=n_stores,
-    )
+        geometry = CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
+        replay = replay_l2(stream, geometry, policy, warmup_time, dirty=dirty_flags)
+        counts = (
+            replay.l1_dirty_victims,
+            replay.l1_writebacks_offchip,
+            replay.l2_dirty_evictions,
+        )
+    return WriteTraffic(*counts, n_data_refs=n_data, n_stores=n_stores)
 
 
 @dataclass(frozen=True)

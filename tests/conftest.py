@@ -30,18 +30,21 @@ def make_random_trace(
     n_lines: int = 64,
     data_ratio: float = 0.4,
     name: str = "random",
+    store_ratio: float = 0.0,
 ) -> Trace:
     """A small uniformly-random trace for oracle comparisons.
 
     Uniform random addresses are the adversarial case for the
     vectorised simulators (no locality structure to hide behind).
+    With ``store_ratio`` > 0 that share of data references are stores.
     """
     rng = np.random.default_rng(seed)
     i_addrs = rng.integers(0, n_lines, size=n_instructions) * 16
     mask = rng.random(n_instructions) < data_ratio
     d_times = np.nonzero(mask)[0]
     d_addrs = rng.integers(0, n_lines, size=len(d_times)) * 16 + (1 << 40)
-    return Trace(name, i_addrs, d_addrs, d_times)
+    stores = rng.random(len(d_times)) < store_ratio if store_ratio else None
+    return Trace(name, i_addrs, d_addrs, d_times, d_is_store=stores)
 
 
 @pytest.fixture(scope="session")
