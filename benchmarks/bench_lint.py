@@ -21,7 +21,12 @@ from repro.analysis import lint_paths
 from repro.analysis.program import link_program, summarize_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-TARGETS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"]
+TARGETS = [
+    REPO_ROOT / "src",
+    REPO_ROOT / "benchmarks",
+    REPO_ROOT / "examples",
+    REPO_ROOT / "perfbench",
+]
 
 #: Acceptance: full-tree graph build stays interactive.
 GRAPH_BUILD_CEILING_S = 10.0

@@ -39,8 +39,10 @@ from .program.summary import SUMMARY_SCHEMA, ModuleSummary
 
 __all__ = ["CACHE_SCHEMA", "LintCache", "file_sha256", "ruleset_key"]
 
-#: Bumped whenever the cache layout changes; older caches are discarded.
-CACHE_SCHEMA = 1
+#: Bumped whenever the cache layout or a rule's behaviour changes (the
+#: ruleset key covers rule ids, not what they flag); older caches are
+#: discarded.  v2: REP012 gained ``datetime.datetime.today``.
+CACHE_SCHEMA = 2
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"

@@ -19,10 +19,11 @@ parallel per-file work and serial linking:
    *unknown*, never silently treated as safe), and reachability/taint
    fixpoints with shortest witness chains for diagnostics.
 
-The five interprocedural rules (REP007–REP011) live in
-:mod:`~repro.analysis.program.rules` and consume only the linked
+The five interprocedural rules (REP007–REP011) consume only the linked
 :class:`Program`, which keeps per-rule evaluation trivially
-parallelizable.
+parallelizable.  REP007 and REP009 live in
+:mod:`~repro.analysis.program.rules`; the taint rules that extend a
+per-file rule share its module in :mod:`repro.analysis.rules`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,13 @@
-"""Whole-program rules REP007–REP011.
+"""Whole-program rules with no per-file counterpart: REP007 and REP009.
 
 Imported by the registry for registration side effects, exactly like
-the per-file rules package.  Each module registers one rule via
-:func:`~repro.analysis.registry.program_checker`; the check functions
-consume a linked :class:`~repro.analysis.program.graph.Program` and
-yield ``(path, line, col, message)`` tuples.
+the per-file rules package; REP008, REP010 and REP011 share a module
+with their per-file rule in :mod:`repro.analysis.rules`.  Each check
+function consumes a linked
+:class:`~repro.analysis.program.graph.Program` and yields ``(path,
+line, col, message)`` tuples.
 """
 
 from __future__ import annotations
 
-from . import (  # noqa: F401
-    async_safety,
-    atomic_flow,
-    determinism_flow,
-    exception_flow,
-    picklable_flow,
-)
+from . import async_safety, exception_flow  # noqa: F401

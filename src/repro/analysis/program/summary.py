@@ -13,8 +13,10 @@ Name handling: call sites keep the *raw* dotted name as written
 import alias map with relative imports resolved to absolute dotted
 paths, and the linker does all cross-module resolution.  Sink
 classification (blocking / clock / RNG / write) happens here because it
-only needs the alias map, and it reuses the exact matching logic of the
-per-file rules so suppression semantics line up.
+only needs the alias map.  Clock/RNG, write and ``RunUnit`` sites are
+classified by the same functions the per-file rules call
+(:mod:`repro.analysis.rules` holds one module per invariant), so a site
+and its suppression mean the same thing to both phases.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..finding import dotted_name
-from ..rules.atomic_writes import _OPENERS, _PATH_WRITERS, _literal_mode
-from ..rules.determinism import _SEEDABLE_CONSTRUCTORS, _WALL_CLOCKS
+from ..rules.atomic_writes import OPENERS, raw_write
+from ..rules.determinism import nondeterminism
+from ..rules.picklable import is_run_unit, shipped_arguments, unpicklable_in_place
 from ..suppress import Suppression, scan_suppressions
 
 __all__ = [
@@ -652,7 +655,7 @@ class _Extractor:
                     acc.calls.append(
                         CallSite(arg.lineno, arg.col_offset + 1, "ref", ref)
                     )
-        if raw is not None and raw.split(".")[-1] == "RunUnit":
+        if is_run_unit(raw):
             self._unit_site(call, acc)
 
     def _sinks(
@@ -660,77 +663,41 @@ class _Extractor:
     ) -> None:
         line, col = call.lineno, call.col_offset + 1
         canonical = self.canonical(raw)
-        if canonical is not None:
-            if canonical in _BLOCKING_CALLS or canonical.startswith(
-                _BLOCKING_PREFIXES
-            ):
-                acc.sinks.append(SinkSite(line, col, "blocking", canonical))
-            if canonical in _WALL_CLOCKS:
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "clock",
-                        canonical,
-                        suppressed=self._suppressed_at(line, "REP002"),
-                    )
+        if canonical is not None and (
+            canonical in _BLOCKING_CALLS or canonical.startswith(_BLOCKING_PREFIXES)
+        ):
+            acc.sinks.append(SinkSite(line, col, "blocking", canonical))
+        impure = nondeterminism(call, canonical)
+        if impure is not None and canonical is not None:
+            acc.sinks.append(
+                SinkSite(
+                    line,
+                    col,
+                    impure,
+                    canonical,
+                    suppressed=self._suppressed_at(line, "REP002"),
                 )
-            elif canonical.startswith("random."):
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "rng",
-                        canonical,
-                        suppressed=self._suppressed_at(line, "REP002"),
-                    )
-                )
-            elif canonical.startswith("numpy.random."):
-                tail = canonical[len("numpy.random.") :]
-                unseeded_default = tail == "default_rng" and not (
-                    call.args or call.keywords
-                )
-                if unseeded_default or (
-                    tail != "default_rng" and tail not in _SEEDABLE_CONSTRUCTORS
-                ):
-                    acc.sinks.append(
-                        SinkSite(
-                            line,
-                            col,
-                            "rng",
-                            canonical,
-                            suppressed=self._suppressed_at(line, "REP002"),
-                        )
-                    )
-        # Openers: mirror REP001's matching (raw dotted name) so the
+            )
+        # Openers are matched on the raw dotted name, like REP001, so the
         # suppression story is identical; any open is also sync I/O.
-        if raw in _OPENERS:
+        if raw in OPENERS:
             acc.sinks.append(SinkSite(line, col, "blocking", raw))
-            mode = _literal_mode(call)
-            if mode is not None and any(ch in mode for ch in "wax+"):
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "write",
-                        f"{raw}(..., {mode!r})",
-                        suppressed=self._suppressed_at(line, "REP001"),
-                    )
+        elif (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in _BLOCKING_ATTRS
+        ):
+            acc.sinks.append(SinkSite(line, col, "blocking", f".{call.func.attr}()"))
+        write = raw_write(call, raw)
+        if write is not None:
+            acc.sinks.append(
+                SinkSite(
+                    line,
+                    col,
+                    "write",
+                    write,
+                    suppressed=self._suppressed_at(line, "REP001"),
                 )
-        elif isinstance(call.func, ast.Attribute):
-            attr = call.func.attr
-            if attr in _BLOCKING_ATTRS:
-                acc.sinks.append(SinkSite(line, col, "blocking", f".{attr}()"))
-            if attr in _PATH_WRITERS:
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "write",
-                        f".{attr}(...)",
-                        suppressed=self._suppressed_at(line, "REP001"),
-                    )
-                )
+            )
 
     def _raise(self, node: ast.Raise, acc: _FunctionAccumulator) -> None:
         exc = node.exc
@@ -794,8 +761,7 @@ class _Extractor:
             ):
                 return
             if isinstance(n, ast.Call):
-                raw = dotted_name(n.func)
-                if raw is not None and raw.split(".")[-1] == "RunUnit":
+                if is_run_unit(dotted_name(n.func)):
                     self._unit_site(n, None)
             for child in ast.iter_child_nodes(n):
                 walk(child)
@@ -805,28 +771,19 @@ class _Extractor:
     def _unit_site(
         self, call: ast.Call, acc: Optional[_FunctionAccumulator]
     ) -> None:
-        shipped: List[Tuple[str, ast.expr]] = []
-        for index, arg in enumerate(call.args):
-            if index in (2, 3):
-                shipped.append(("run" if index == 2 else "to_record", arg))
-        for keyword in call.keywords:
-            if keyword.arg in ("run", "to_record"):
-                shipped.append((keyword.arg, keyword.value))
-        for slot, value in shipped:
+        local_funcs = acc.local_funcs if acc else []
+        local_lambdas = acc.local_lambdas if acc else set()
+        for slot, value in shipped_arguments(call):
             kind: str
             name: Optional[str] = None
-            if isinstance(value, ast.Lambda):
+            if isinstance(value, ast.Name) and value.id in local_lambdas:
+                # A name bound to a *local* lambda: invisible to REP004
+                # (which only tracks nested defs).
+                kind, name = "local-lambda", value.id
+            elif unpicklable_in_place(value, local_funcs) is not None:
                 kind = "direct"  # REP004's per-file finding; not duplicated
             elif isinstance(value, (ast.Name, ast.Attribute)):
-                flow = self._classify_flow(value, acc)
-                if flow is not None and flow[0] == "nested":
-                    kind = "direct"  # REP004 flags names of nested defs
-                elif flow is not None and flow[0] == "lambda":
-                    # A name bound to a *local* lambda: invisible to
-                    # REP004 (which only tracks nested defs).
-                    kind, name = "local-lambda", dotted_name(value)
-                else:
-                    kind, name = "name", dotted_name(value)
+                kind, name = "name", dotted_name(value)
             elif isinstance(value, ast.Call):
                 func_name = dotted_name(value.func)
                 if self.canonical(func_name) in _PARTIAL_NAMES and value.args:

@@ -9,7 +9,8 @@ break silently:
   durations are deterministic under test.  A direct ``time.time()`` /
   ``time.monotonic()`` inside ``obs/`` bypasses the injection point —
   only ``obs/clock.py`` (the adapter that *defines* the sanctioned
-  reads) may touch the ``time`` module.  Execution-layer code outside
+  reads) may touch the ``time`` module.  The banned reads are REP002's
+  clock set (:data:`repro.analysis.rules.determinism.WALL_CLOCKS`).  Execution-layer code outside
   ``obs/`` keeps its REP002 latitude: clocks are its business.
 
 * **Spans close.**  A span only records on scope exit; calling
@@ -27,21 +28,7 @@ from typing import Iterator, Optional
 
 from ..finding import FileContext
 from ..registry import Violation, checker
-
-#: Direct time reads banned inside ``obs/`` (``clock.py`` excepted).
-_WALL_CLOCKS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-    }
-)
+from .determinism import WALL_CLOCKS
 
 #: The one module allowed to read ``time.*``: it is the Clock adapter.
 _SANCTIONED_CLOCK_MODULE = "obs/clock.py"
@@ -87,7 +74,7 @@ def check_telemetry(ctx: FileContext) -> Iterator[Violation]:
         where = (node.lineno, node.col_offset + 1)
         if in_obs:
             target = ctx.canonical_call_name(node.func)
-            if target in _WALL_CLOCKS:
+            if target in WALL_CLOCKS:
                 yield (
                     *where,
                     f"{target}() reads time directly in the telemetry "

@@ -163,30 +163,33 @@ def replay_lines(
     lines: List[int],
     victims: Optional[List[int]],
     counted_from: int,
-    geometry: CacheGeometry,
+    n_sets: int,
+    associativity: int,
     exclusive: bool,
     replacement: str = "lfsr",
     dirty: Optional[List[bool]] = None,
 ) -> L2Replay:
     """Replay miss events given as lists; events from ``counted_from`` on count.
 
-    ``victims`` holds the L1 victim per event (``-1`` for none; only the
-    exclusive policy and the write-back count read it); ``dirty`` flags a
-    dirty victim per event and adds the write-back counts (LFSR only).
+    The level has ``n_sets`` sets of ``associativity`` ways and line ``x``
+    maps to set ``x % n_sets``.  ``victims`` holds the L1 victim per event
+    (``-1`` for none; only the exclusive policy and the write-back count
+    read it); ``dirty`` flags a dirty victim per event and adds the
+    write-back counts (LFSR only).
     """
     if replacement not in ("lfsr", "lru"):
         raise ConfigurationError(f"unknown replacement policy {replacement!r}")
     if replacement == "lru" and dirty is not None:
         raise ConfigurationError("write-back counting needs LFSR replacement")
-    n_sets, assoc = geometry.n_sets, geometry.associativity
     if victims is None:
         victims = [_EMPTY] * len(lines)
     fetched: List[int] = []
     if replacement == "lru":
-        loop, empty_set, choose = _lru, [], assoc
+        loop, empty_set, choose = _lru, [], associativity
     else:
         loop = _lfsr if dirty is None else _lfsr_dirty
-        empty_set, choose = [_EMPTY] * assoc, cycle(lfsr_ways(assoc)).__next__
+        empty_set = [_EMPTY] * associativity
+        choose = cycle(lfsr_ways(associativity)).__next__
     rows = list(map(list.copy, repeat(empty_set, n_sets)))
     events = (lines, victims) if dirty is None else (lines, victims, dirty)
     state = () if dirty is None else (set(), set())
@@ -210,7 +213,8 @@ def replay_l2(
         stream.lines.tolist(),
         stream.victims.tolist(),
         int(np.searchsorted(stream.times, warmup_time)),
-        geometry,
+        geometry.n_sets,
+        geometry.associativity,
         policy.value == "exclusive",
         replacement,
         None if dirty is None else dirty.tolist(),

@@ -75,7 +75,10 @@ def evaluate_associative_l1(
     warmup_time, counted_data = warmup_window(trace, warmup_fraction)
     d_counted_from = trace.n_data_refs - counted_data
     misses = sum(
-        replay_lines(lines.tolist(), None, counted_from, geometry, False, "lru").misses
+        replay_lines(
+            lines.tolist(), None, counted_from, geometry.n_sets, associativity,
+            False, "lru",
+        ).misses
         for lines, counted_from in (
             (trace.i_lines(line_size), warmup_time),
             (trace.d_lines(line_size), d_counted_from),

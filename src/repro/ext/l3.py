@@ -100,7 +100,9 @@ def evaluate_with_board_cache(
         l2 = replay_l2(stream, l2_geometry, config.policy, warmup_time)
         fetched, counted_from, l2_hits = l2.fetched, len(l2.fetched) - l2.misses, l2.hits
     l3_geometry = CacheGeometry(l3_bytes, config.line_size, l3_associativity)
-    l3 = replay_lines(fetched, None, counted_from, l3_geometry, exclusive=False)
+    l3 = replay_lines(
+        fetched, None, counted_from, l3_geometry.n_sets, l3_associativity, exclusive=False
+    )
     l3_hits, l3_misses = l3.hits, l3.misses
 
     timings = system_timings(config)

@@ -103,7 +103,8 @@ def compare_split_vs_unified(
     else:
         counted_from = int(np.searchsorted(merged_times, warmup_time))
         unified_misses = replay_lines(
-            merged_lines.tolist(), None, counted_from, unified, False, "lru"
+            merged_lines.tolist(), None, counted_from, unified.n_sets,
+            unified.associativity, False, "lru",
         ).misses
 
     n_refs = (trace.n_instructions - warmup_time) + counted_data

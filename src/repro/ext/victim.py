@@ -14,13 +14,14 @@ like the L2 simulators.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
 
-from ..cache.directmap import NO_VICTIM
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
+import numpy as np
+
 from ..cache.geometry import DEFAULT_LINE_SIZE
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream, warmup_window
+from ..cache.misspath import replay_lines
 from ..errors import ConfigurationError
 from ..traces.address import Trace
 from ..traces.store import get_trace
@@ -60,29 +61,6 @@ class VictimCacheStats:
         return self.misses_below / self.n_refs
 
 
-class _FullyAssociativeLru:
-    """Tiny fully-associative LRU buffer of line addresses."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lines: "OrderedDict[int, None]" = OrderedDict()
-
-    def probe_and_remove(self, line: int) -> bool:
-        """True (and remove) if ``line`` is resident."""
-        if line in self._lines:
-            del self._lines[line]
-            return True
-        return False
-
-    def insert(self, line: int) -> None:
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            return
-        if len(self._lines) >= self.capacity:
-            self._lines.popitem(last=False)
-        self._lines[line] = None
-
-
 def simulate_victim_cache(
     workload: Union[str, Trace],
     l1_bytes: int,
@@ -103,28 +81,18 @@ def simulate_victim_cache(
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
     warmup_time, n_data = warmup_window(trace, warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
-
-    buffer = _FullyAssociativeLru(victim_lines)
-    victim_hits = 0
-    misses_below = 0
-    counted_misses = 0
-    for line, victim, time in zip(
-        stream.lines.tolist(), stream.victims.tolist(), stream.times.tolist()
-    ):
-        counted = time >= warmup_time
-        counted_misses += counted
-        if buffer.probe_and_remove(line):
-            victim_hits += counted
-        else:
-            misses_below += counted
-        if victim != NO_VICTIM:
-            buffer.insert(victim)
-
+    # The buffer is an exclusive one-set LRU level: a hit moves the line
+    # back to the L1, and each L1 victim enters as the most recent line.
+    counted_from = int(np.searchsorted(stream.times, warmup_time))
+    buffer = replay_lines(
+        stream.lines.tolist(), stream.victims.tolist(), counted_from,
+        1, victim_lines, exclusive=True, replacement="lru",
+    )
     return VictimCacheStats(
         n_instructions=trace.n_instructions - warmup_time,
         n_data_refs=n_data,
-        l1_misses=counted_misses,
-        victim_hits=victim_hits,
-        misses_below=misses_below,
+        l1_misses=buffer.hits + buffer.misses,
+        victim_hits=buffer.hits,
+        misses_below=buffer.misses,
         victim_lines=victim_lines,
     )

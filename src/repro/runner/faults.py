@@ -29,6 +29,10 @@ Specification grammar (comma-separated, e.g.
 ``corrupt``/``bitflip``/``partial`` emulate damage that *bypassed* the
 atomic-rename discipline (a torn write, silent media bit rot), so
 resume-time artefact validation and ``repro verify`` can be tested.
+All deliberate byte damage — these kinds, ``poisonmemo`` and the chaos
+soaks' direct rot — goes through :func:`flip_bit` and :func:`truncate`,
+which share the package's one raw write outside
+:mod:`repro.runner.atomic`.
 ``enospc`` fires inside :func:`~repro.runner.atomic.atomic_open` for
 writes issued while the named unit is executing, surfacing as the
 retryable ``CheckpointError`` the real condition produces.
@@ -76,7 +80,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import ReproError, RunnerError
 
@@ -95,7 +99,9 @@ __all__ = [
     "check_write",
     "damage_artifact",
     "damage_memo",
-    "maybe_corrupt_file",
+    "flip_bit",
+    "truncate",
+    "env_scope",
 ]
 
 #: Environment variable holding a fault specification.
@@ -241,6 +247,35 @@ def active_plan() -> Optional[FaultPlan]:
     return parse_plan(spec) if spec else None
 
 
+@contextmanager
+def env_scope() -> Iterator[Callable[[str], None]]:
+    """Scope in which ``REPRO_FAULTS`` may be set, one spec at a time.
+
+    Yields ``use(spec)``, which sets the variable (or removes it for an
+    empty spec) and clears any installed plan and fire counts, so the
+    next hook — in this process or a freshly forked worker — reads
+    ``spec``.  On exit the caller's ``REPRO_FAULTS`` is restored and the
+    counters are cleared again.
+    """
+    previous = os.environ.get(ENV_VAR)
+
+    def use(spec: str) -> None:
+        if spec:
+            os.environ[ENV_VAR] = spec
+        else:
+            os.environ.pop(ENV_VAR, None)
+        clear()
+
+    try:
+        yield use
+    finally:
+        if previous is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = previous
+        clear()
+
+
 def _fires(kind: str, unit_id: str, limit: int) -> bool:
     """Count one firing of ``kind`` on ``unit_id``; True while under limit."""
     count = _fire_counts.get((kind, unit_id), 0)
@@ -350,6 +385,26 @@ def check_write(path: Union[str, Path]) -> None:
         raise OSError(errno.ENOSPC, "injected: no space left on device", str(path))
 
 
+def _rewrite(path: Path, data: bytes) -> None:
+    """The one raw write behind every deliberate damage primitive."""
+    # repro: lint-ok[REP001] deliberate damage behind the atomic layer's back; detecting it is what validation, verify and the chaos soaks prove
+    path.write_bytes(data)
+
+
+def flip_bit(path: Union[str, Path], offset: int, bit: int = 0) -> None:
+    """XOR bit ``bit`` of byte ``offset`` in ``path`` — silent bit rot."""
+    path = Path(path)
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1 << bit
+    _rewrite(path, bytes(data))
+
+
+def truncate(path: Union[str, Path], keep: int) -> None:
+    """Keep only the first ``keep`` bytes of ``path`` — a torn write."""
+    path = Path(path)
+    _rewrite(path, path.read_bytes()[:keep])
+
+
 def damage_artifact(unit_id: str, path: Union[str, Path]) -> None:
     """Damage ``path`` if the plan corrupts ``unit_id``'s output.
 
@@ -363,25 +418,19 @@ def damage_artifact(unit_id: str, path: Union[str, Path]) -> None:
         return
     path = Path(path)
     if plan.corrupt_unit == unit_id:
-        data = path.read_bytes()
-        # repro: lint-ok[REP001] deliberately tears the artefact; bypassing the atomic-rename discipline is the point of this fault
-        path.write_bytes(data[: len(data) // 2])
+        truncate(path, path.stat().st_size // 2)
     if plan.bitflip_unit == unit_id:
-        data = bytearray(path.read_bytes())
-        if data:
+        size = path.stat().st_size
+        if size:
             offset = plan.bitflip_offset
-            if offset is None or not 0 <= offset < len(data):
-                offset = len(data) // 2
-            data[offset] ^= 0x01
-            # repro: lint-ok[REP001] deliberately injects silent bit rot behind the atomic layer's back; detecting it is the manifest's job
-            path.write_bytes(bytes(data))
+            if offset is None or not 0 <= offset < size:
+                offset = size // 2
+            flip_bit(path, offset)
     if plan.partial_unit == unit_id:
-        data = path.read_bytes()
         keep = plan.partial_bytes
         if keep is None or keep < 0:
-            keep = len(data) // 2
-        # repro: lint-ok[REP001] deliberately truncates the artefact to a prefix, emulating a short write that dodged fsync
-        path.write_bytes(data[:keep])
+            keep = path.stat().st_size // 2
+        truncate(path, keep)
 
 
 def damage_memo(key: str, path: Union[str, Path]) -> None:
@@ -399,14 +448,6 @@ def damage_memo(key: str, path: Union[str, Path]) -> None:
         return
     if not _fires("poisonmemo", "*", plan.poisonmemo_times):
         return
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        return
-    data[len(data) // 2] ^= 0x01
-    # repro: lint-ok[REP001] deliberately rots the memo entry behind the atomic layer; detecting it on read is what the serve soak proves
-    path.write_bytes(bytes(data))
-
-
-#: Backwards-compatible alias: the original hook only knew ``corrupt``.
-maybe_corrupt_file = damage_artifact
+    size = Path(path).stat().st_size
+    if size:
+        flip_bit(path, size // 2)

@@ -27,7 +27,6 @@ so a failing seed replays exactly.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,15 +169,11 @@ def _bitrot_targets(soak: Path, rng: random.Random) -> List[Path]:
 
 def _rot(path: Path, rng: random.Random) -> None:
     """Flip one bit or truncate ``path`` — silent post-write damage."""
-    data = bytearray(path.read_bytes())
-    if rng.random() < 0.5 and len(data) > 1:
-        # repro: lint-ok[REP001] the soak deliberately rots bytes behind the atomic layer; surviving this is what the test proves
-        path.write_bytes(bytes(data[: rng.randint(1, len(data) - 1)]))
+    size = path.stat().st_size
+    if rng.random() < 0.5 and size > 1:
+        faults.truncate(path, rng.randint(1, size - 1))
     else:
-        offset = rng.randrange(len(data))
-        data[offset] ^= 1 << rng.randrange(8)
-        # repro: lint-ok[REP001] the soak deliberately rots bytes behind the atomic layer; surviving this is what the test proves
-        path.write_bytes(bytes(data))
+        faults.flip_bit(path, rng.randrange(size), rng.randrange(8))
 
 
 def _soak_round(
@@ -197,40 +192,33 @@ def _soak_round(
     dying mid-write.  Pool rounds also run with a hang-capable watchdog
     so an injected ``hang`` wedge is rescued, not waited out.
     """
-    previous = os.environ.get(faults.ENV_VAR)
-    if schedule:
-        os.environ[faults.ENV_VAR] = schedule
     pooled = workers not in (None, 0, "", "serial")
     guard = (
         ResourceWatchdog(WatchdogPolicy(hang_timeout_s=_SOAK_HANG_TIMEOUT_S))
         if pooled
         else None
     )
-    try:
-        with Supervisor() as supervisor:
-            write_report(
-                soak,
-                ids=ids,
-                scale=scale,
-                resume=True,
-                keep_going=True,
-                retries=1,
-                workers=workers,
-                watchdog=guard,
-                cancel=supervisor.token,
-            )
-    except faults.InjectedCrash:
-        pass  # simulated kill mid-run; the journal survives
-    except AbortError:
-        pass  # drain overrun aborted hard; journalled units survive
-    except ReproError:
-        pass  # e.g. an injected failure surfacing through strict paths
-    finally:
-        if previous is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = previous
-        faults.clear()
+    with faults.env_scope() as use_plan:
+        use_plan(schedule)
+        try:
+            with Supervisor() as supervisor:
+                write_report(
+                    soak,
+                    ids=ids,
+                    scale=scale,
+                    resume=True,
+                    keep_going=True,
+                    retries=1,
+                    workers=workers,
+                    watchdog=guard,
+                    cancel=supervisor.token,
+                )
+        except faults.InjectedCrash:
+            pass  # simulated kill mid-run; the journal survives
+        except AbortError:
+            pass  # drain overrun aborted hard; journalled units survive
+        except ReproError:
+            pass  # e.g. an injected failure surfacing through strict paths
 
 
 def _fault_evidence(soak: Path) -> int:

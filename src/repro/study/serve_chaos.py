@@ -25,7 +25,6 @@ recorded, so a failing seed replays exactly.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -208,10 +207,7 @@ def _rot_memo_entry(store: Path, rng: random.Random) -> "str | None":
     if not entries:
         return None
     target = rng.choice(entries)
-    data = bytearray(target.read_bytes())
-    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-    # repro: lint-ok[REP001] the soak deliberately rots the memo entry behind the atomic layer; never serving it is what this proves
-    target.write_bytes(bytes(data))
+    faults.flip_bit(target, rng.randrange(target.stat().st_size), rng.randrange(8))
     return target.name
 
 
@@ -265,63 +261,52 @@ def run_serve_chaos(
         breaker_cooldown_s=0.2,
         retry_after_s=0.5,
     )
-    previous = os.environ.get(faults.ENV_VAR)
-    try:
-        with BackgroundServer(store, workers=workers, policy=policy) as server:
-            for _ in range(rounds):
-                schedule, doomed = _draw_schedule(rng, keys)
-                result.schedules.append(schedule)
-                if schedule:
-                    os.environ[faults.ENV_VAR] = schedule
-                else:
-                    os.environ.pop(faults.ENV_VAR, None)
-                # Reset counters and rebuild the backend so freshly
-                # forked workers inherit this round's plan.
-                faults.clear()
-                server.call(server.app.reset_backend)
-                picks = [rng.choice(keys) for _ in range(requests_per_round)]
-                if doomed is not None:
-                    _evict(store, doomed)
-                    picks.append(doomed)
-                with ThreadPoolExecutor(max_workers=4) as clients:
-                    futures = [
-                        (
-                            key,
-                            clients.submit(
-                                server.request, "POST", "/v1/evaluate",
-                                payload_by_key[key],
-                            ),
-                        )
-                        for key in picks
-                    ]
-                    for key, future in futures:
-                        status, headers, body = future.result()
-                        _check(result, key, status, headers, body, references[key])
-                if server.app.degraded_reason is not None:
-                    result.degraded_rounds += 1
-                rotted = _rot_memo_entry(store, rng)
-                if rotted is not None:
-                    result.rotted.append(rotted)
-
-            # Availability pass: faults off, backend fresh — every
-            # query must be served, whatever the rounds did.
-            os.environ.pop(faults.ENV_VAR, None)
-            faults.clear()
+    with faults.env_scope() as use_plan, BackgroundServer(
+        store, workers=workers, policy=policy
+    ) as server:
+        for _ in range(rounds):
+            schedule, doomed = _draw_schedule(rng, keys)
+            result.schedules.append(schedule)
+            # Rebuild the backend so freshly forked workers inherit
+            # this round's plan.
+            use_plan(schedule)
             server.call(server.app.reset_backend)
-            final_ok = True
-            for key in keys:
-                status, headers, body = server.request(
-                    "POST", "/v1/evaluate", payload_by_key[key]
-                )
-                _check(result, key, status, headers, body, references[key])
-                if status != 200 or body != references[key]:
-                    final_ok = False
-            result.availability_ok = final_ok
-            result.quarantined = server.app.memo.quarantined
-    finally:
-        if previous is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = previous
-        faults.clear()
+            picks = [rng.choice(keys) for _ in range(requests_per_round)]
+            if doomed is not None:
+                _evict(store, doomed)
+                picks.append(doomed)
+            with ThreadPoolExecutor(max_workers=4) as clients:
+                futures = [
+                    (
+                        key,
+                        clients.submit(
+                            server.request, "POST", "/v1/evaluate",
+                            payload_by_key[key],
+                        ),
+                    )
+                    for key in picks
+                ]
+                for key, future in futures:
+                    status, headers, body = future.result()
+                    _check(result, key, status, headers, body, references[key])
+            if server.app.degraded_reason is not None:
+                result.degraded_rounds += 1
+            rotted = _rot_memo_entry(store, rng)
+            if rotted is not None:
+                result.rotted.append(rotted)
+
+        # Availability pass: faults off, backend fresh — every
+        # query must be served, whatever the rounds did.
+        use_plan("")
+        server.call(server.app.reset_backend)
+        final_ok = True
+        for key in keys:
+            status, headers, body = server.request(
+                "POST", "/v1/evaluate", payload_by_key[key]
+            )
+            _check(result, key, status, headers, body, references[key])
+            if status != 200 or body != references[key]:
+                final_ok = False
+        result.availability_ok = final_ok
+        result.quarantined = server.app.memo.quarantined
     return result

@@ -1,5 +1,6 @@
 """REP012 positive fixture: direct clocks and unentered spans in obs code."""
 
+import datetime
 import time
 
 
@@ -9,6 +10,9 @@ class Recorder:
 
     def stamp(self):
         return time.time()  # finding: direct wall clock in the obs layer
+
+    def today(self):
+        return datetime.datetime.today()  # finding: direct wall clock in the obs layer
 
     def measure(self, fn):
         started = time.monotonic()  # finding: direct monotonic read

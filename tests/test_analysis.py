@@ -95,7 +95,7 @@ class TestRegistry:
         ("REP004", 5),
         ("REP005", 6),
         ("REP006", 4),
-        ("REP012", 5),
+        ("REP012", 6),
         ("REP013", 4),
     ],
 )

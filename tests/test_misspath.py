@@ -3,8 +3,12 @@
 The oracle replays below are copies of the per-event loops that drove
 :class:`~repro.cache.l2.SetAssociativeCache` before the kernel existed:
 the L2 replay of ``simulate_hierarchy`` (LFSR and LRU) and the dirty
-bookkeeping of ``count_write_traffic``.  Every count must be equal.
+bookkeeping of ``count_write_traffic``; plus the victim buffer's own
+fully-associative LRU loop from ``simulate_victim_cache``.  Every count
+must be equal.
 """
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -19,9 +23,14 @@ from repro.cache.l2 import SetAssociativeCache
 from repro.cache.misspath import lfsr_ways, replay_l2, replay_lines
 from repro.cache.replacement import LfsrReplacement, LruReplacement
 from repro.errors import ConfigurationError
+from repro.ext.victim import simulate_victim_cache
 from repro.lfsr import Lfsr16
 
 LINE_SIZE = 16
+
+
+def shape(geometry):
+    return geometry.n_sets, geometry.associativity
 
 
 def oracle_cache(geometry, replacement):
@@ -91,14 +100,56 @@ def oracle_writes(lines, victims, counted, dirty_flags, geometry, exclusive):
     return dirty_victims, offchip, evictions
 
 
+class OracleFullyAssociativeLru:
+    """The pre-kernel victim buffer."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._lines = OrderedDict()
+
+    def probe_and_remove(self, line):
+        if line in self._lines:
+            del self._lines[line]
+            return True
+        return False
+
+    def insert(self, line):
+        if line in self._lines:
+            self._lines.move_to_end(line)
+            return
+        if len(self._lines) >= self.capacity:
+            self._lines.popitem(last=False)
+        self._lines[line] = None
+
+
+def oracle_victim(stream, warmup_time, victim_lines):
+    """The pre-kernel ``simulate_victim_cache`` loop; returns its counts."""
+    buffer = OracleFullyAssociativeLru(victim_lines)
+    victim_hits = 0
+    misses_below = 0
+    counted_misses = 0
+    for line, victim, time in zip(
+        stream.lines.tolist(), stream.victims.tolist(), stream.times.tolist()
+    ):
+        counted = time >= warmup_time
+        counted_misses += counted
+        if buffer.probe_and_remove(line):
+            victim_hits += counted
+        else:
+            misses_below += counted
+        if victim != NO_VICTIM:
+            buffer.insert(victim)
+    return counted_misses, victim_hits, misses_below
+
+
 def assert_kernel_matches(lines, victims, dirty, counted_from, geometry, exclusive):
     counted = [i >= counted_from for i in range(len(lines))]
     for replacement in ("lfsr", "lru"):
-        replay = replay_lines(lines, victims, counted_from, geometry, exclusive, replacement)
+        replay = replay_lines(lines, victims, counted_from, *shape(geometry), exclusive, replacement)
         cache = oracle_cache(geometry, replacement)
         expected = oracle_l2(lines, victims, counted, cache, exclusive)
         assert (replay.hits, replay.misses, replay.fetched) == expected, replacement
-    writes = replay_lines(lines, victims, counted_from, geometry, exclusive, dirty=dirty)
+    writes = replay_lines(lines, victims, counted_from, *shape(geometry), exclusive, dirty=dirty)
     expected = oracle_l2(lines, victims, counted, oracle_cache(geometry, "lfsr"), exclusive)
     assert (writes.hits, writes.misses, writes.fetched) == expected
     assert (
@@ -146,7 +197,7 @@ def test_clean_victim_clears_the_dirty_bit_of_its_l2_copy():
     lines, victims = [2, 3, 6, 1], [1, 1, 5, NO_VICTIM]
     dirty = [True, False, False, False]
     assert_kernel_matches(lines, victims, dirty, 0, geometry, exclusive=True)
-    replay = replay_lines(lines, victims, 0, geometry, True, dirty=dirty)
+    replay = replay_lines(lines, victims, 0, *shape(geometry), True, dirty=dirty)
     assert (replay.l1_dirty_victims, replay.l2_dirty_evictions) == (1, 0)
 
 
@@ -213,7 +264,7 @@ def test_more_replacements_than_one_lfsr_period(exclusive):
     cache = SetAssociativeCache(geometry, cache_policy)
     expected = oracle_l2(lines, victims, [True] * len(lines), cache, exclusive)
     assert draws > Lfsr16.period()
-    replay = replay_lines(lines, victims, 0, geometry, exclusive)
+    replay = replay_lines(lines, victims, 0, *shape(geometry), exclusive)
     assert (replay.hits, replay.misses, replay.fetched) == expected
 
 
@@ -230,6 +281,26 @@ def test_back_to_back_replays_share_no_state():
 def test_unknown_replacement_and_lru_write_backs_rejected():
     geometry = CacheGeometry(128, line_size=LINE_SIZE, associativity=2)
     with pytest.raises(ConfigurationError, match="unknown replacement"):
-        replay_lines([1, 2], None, 0, geometry, False, "fifo")
+        replay_lines([1, 2], None, 0, *shape(geometry), False, "fifo")
     with pytest.raises(ConfigurationError, match="LFSR"):
-        replay_lines([1, 2], [NO_VICTIM] * 2, 0, geometry, False, "lru", [False] * 2)
+        replay_lines([1, 2], [NO_VICTIM] * 2, 0, *shape(geometry), False, "lru", [False] * 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    l1_bytes=st.sampled_from([64, 128, 256]),
+    victim_lines=st.integers(1, 16),
+    warm=st.sampled_from([0.0, 0.25, 0.5]),
+)
+def test_victim_buffer_equals_oracle_on_miss_streams(seed, l1_bytes, victim_lines, warm):
+    """Any buffer size, not only the powers of two a CacheGeometry allows."""
+    trace = make_random_trace(seed, n_instructions=600, n_lines=48)
+    stats = simulate_victim_cache(
+        trace, l1_bytes, victim_lines, line_size=LINE_SIZE, warmup_fraction=warm
+    )
+    stream = l1_miss_stream(trace, l1_bytes, LINE_SIZE)
+    warmup_time = int(trace.n_instructions * warm)
+    assert (stats.l1_misses, stats.victim_hits, stats.misses_below) == oracle_victim(
+        stream, warmup_time, victim_lines
+    )

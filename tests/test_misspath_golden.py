@@ -8,7 +8,9 @@ seven workload models at the tests' tiny scale:
   associativity (1/2/4/8) × policy, plus the single-level case per L1;
 * ``evaluate_with_board_cache`` L3 hits and misses for a subset;
 * the LRU L1 models (``evaluate_associative_l1``,
-  ``compare_split_vs_unified``) for a subset.
+  ``compare_split_vs_unified``) for a subset;
+* ``simulate_victim_cache`` for every L1 × a range of buffer sizes,
+  including sizes that are not a power of two.
 
 Counts are integers from a deterministic simulation, so they are exact on
 any platform and the test compares them with ``==``.
@@ -28,6 +30,7 @@ from repro.core.config import SystemConfig
 from repro.ext.associative_l1 import evaluate_associative_l1
 from repro.ext.l3 import evaluate_with_board_cache
 from repro.ext.unified_l1 import compare_split_vs_unified
+from repro.ext.victim import simulate_victim_cache
 from repro.ext.writes import count_write_traffic
 from repro.traces.store import get_trace
 from repro.traces.workloads import workload_names
@@ -53,6 +56,8 @@ L3_CHIPS = (
 L3_CACHES = ((64, 1), (128, 4))
 # (l1_kb, associativity) of the set-associative LRU L1 models.
 LRU_L1S = ((1, 2), (1, 4), (4, 2), (4, 8))
+# Victim-buffer entries; 3 and 5 are valid buffers but not CacheGeometry sizes.
+VICTIM_LINES = (1, 2, 3, 4, 5, 8, 16)
 
 
 def _counts(stats):
@@ -113,6 +118,16 @@ def _lru_l1_record(trace, l1_kb, associativity):
     }
 
 
+def _victim_record(trace, l1_kb, victim_lines):
+    stats = simulate_victim_cache(trace, kb(l1_kb), victim_lines)
+    return {
+        "workload": trace.name,
+        "l1_kb": l1_kb,
+        "victim_lines": victim_lines,
+        "victim": _counts(stats),
+    }
+
+
 def golden_records():
     records = []
     for name in workload_names():
@@ -130,13 +145,18 @@ def golden_records():
                 records.append(_l3_record(trace, chip, l3))
         for l1_kb, associativity in LRU_L1S:
             records.append(_lru_l1_record(trace, l1_kb, associativity))
+    for name in workload_names():
+        trace = get_trace(name, TINY)
+        for l1_kb in L1_KB:
+            for victim_lines in VICTIM_LINES:
+                records.append(_victim_record(trace, l1_kb, victim_lines))
     return records
 
 
 def test_misspath_counts_match_committed_golden():
     expected = json.loads(GOLDEN.read_text())
     actual = golden_records()
-    assert len(actual) == len(expected) == 637
+    assert len(actual) == len(expected) == 784
     mismatched = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert not mismatched, f"{len(mismatched)} records differ; first: {mismatched[0]}"
 
